@@ -626,11 +626,15 @@ class MicroBatchQueue:
     """Coalesces concurrently submitted requests into frontend batches.
 
     Callers :meth:`submit` individual protocol requests and receive
-    :class:`~concurrent.futures.Future`\\ s; a background worker drains the
-    queue — waiting at most ``max_delay_s`` after the first pending request
-    and taking at most ``max_batch`` requests — and dispatches each slice
-    through :meth:`ServiceFrontend.submit_many`, where consecutive
-    authenticate requests coalesce into single vectorized passes.
+    :class:`~concurrent.futures.Future`\\ s; a background worker blocks for
+    the first pending request, then takes whatever else is already queued
+    — never waiting for more, and at most ``max_batch`` requests — and
+    dispatches that slice at once through
+    :meth:`ServiceFrontend.submit_many`, where consecutive authenticate
+    requests coalesce into single vectorized passes.  A lone request
+    therefore pays no batching delay; under load, requests that arrive
+    while one slice is being dispatched form the next, so the backlog
+    sets the batch size.
 
     **Admission control.**  ``max_depth`` bounds how many accepted requests
     may be pending at once; without it a slow backend lets callers enqueue
@@ -658,8 +662,9 @@ class MicroBatchQueue:
     max_batch:
         Most requests dispatched in one slice (>= 1).
     max_delay_s:
-        Longest the worker waits after the first pending request before
-        dispatching a partial slice (>= 0).
+        Longest the worker keeps gathering one slice while requests keep
+        arriving (>= 0); it never waits on an empty queue.  ``0`` dispatches
+        every request as its own slice.
     max_depth:
         Bound on pending (accepted but not yet dispatched) requests;
         ``None`` (default) keeps the queue unbounded.
@@ -853,13 +858,13 @@ class MicroBatchQueue:
                 break
             self._release_slot()
             pending = [item]
+            # Take only what is already queued: a lone request dispatches
+            # at once, and requests arriving mid-dispatch form the next
+            # slice, so the backlog (not a timer) sets the batch size.
             deadline = monotonic() + self.max_delay_s
-            while len(pending) < self.max_batch:
-                remaining = deadline - monotonic()
-                if remaining <= 0.0:
-                    break
+            while len(pending) < self.max_batch and monotonic() < deadline:
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SENTINEL:

@@ -235,6 +235,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            # Keep-alive clients must learn the socket is closing with
+            # this response, or their next reuse meets a reset.
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -640,6 +644,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", wirebin.CONTENT_TYPE)
             self.send_header("Content-Length", str(length))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             for name, value in headers.items():
                 self.send_header(name, value)
             self.end_headers()
@@ -1939,7 +1945,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-delay-ms",
         type=float,
         default=5.0,
-        help="micro-batch queue flush delay (milliseconds)",
+        help="longest the micro-batch queue keeps gathering one slice while "
+        "requests keep arriving (milliseconds); a lone request never waits",
     )
     parser.add_argument(
         "--max-depth",

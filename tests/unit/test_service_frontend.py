@@ -477,6 +477,34 @@ class TestMicroBatchQueue:
         for future in futures:
             assert isinstance(future.result(timeout=1), EnrollResponse)
 
+    def test_lone_request_never_waits_out_the_delay(self, frontend):
+        with MicroBatchQueue(frontend, max_batch=64, max_delay_s=60.0) as queue:
+            assert isinstance(queue.submit(probe()).result(timeout=5), EnrollResponse)
+
+    @pytest.mark.parametrize(
+        "max_batch, max_delay_s, backlog, slices",
+        [
+            (64, 60.0, 5, [1, 5]),  # the backlog forms the next slice
+            (2, 60.0, 5, [1, 2, 2, 1]),  # max_batch splits it
+            (64, 0.0, 3, [1, 1, 1, 1]),  # no gathering at all
+        ],
+    )
+    def test_requests_queued_during_a_dispatch_form_the_next_slices(
+        self, frontend, max_batch, max_delay_s, backlog, slices
+    ):
+        sizes, entered, release = _gate_submit_many(frontend)
+        with MicroBatchQueue(
+            frontend, max_batch=max_batch, max_delay_s=max_delay_s
+        ) as queue:
+            futures = [queue.submit(probe())]
+            assert entered.wait(timeout=5)  # the worker holds a slice of one
+            futures += [queue.submit(probe()) for _ in range(backlog)]
+            assert queue.depth == backlog
+            release.set()
+            for future in futures:
+                assert isinstance(future.result(timeout=5), EnrollResponse)
+        assert sizes == slices
+
     def test_rejects_degenerate_parameters(self, frontend):
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatchQueue(frontend, max_batch=0)
@@ -486,6 +514,24 @@ class TestMicroBatchQueue:
             MicroBatchQueue(frontend, max_depth=0)
         with pytest.raises(ValueError, match="overflow"):
             MicroBatchQueue(frontend, overflow="shed")
+
+
+def _gate_submit_many(frontend):
+    """Hold the queue worker in its first slice; returns (sizes, entered, release).
+
+    ``sizes`` records the length of every slice the worker dispatches.
+    """
+    sizes, entered, release = [], threading.Event(), threading.Event()
+    original = frontend.submit_many
+
+    def gated_submit_many(requests):
+        sizes.append(len(requests))
+        entered.set()
+        assert release.wait(timeout=10), "test never released the worker"
+        return original(requests)
+
+    frontend.submit_many = gated_submit_many
+    return sizes, entered, release
 
 
 def _block_gateway(frontend):

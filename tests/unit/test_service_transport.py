@@ -1096,6 +1096,78 @@ class TestStreamAbort:
         connection.close()
 
 
+class TestClosingResponsesSayConnectionClose:
+    """A response after which the worker closes the socket must say so.
+
+    Otherwise a keep-alive client reuses the dead socket and its next
+    request fails with ``RemoteDisconnected``.
+    """
+
+    @staticmethod
+    def _exchange_then_reuse(port, method, path, body=None, headers=None):
+        """One exchange, then a ``/healthz`` GET on the same connection.
+
+        Returns the first response's status, ``Connection`` header and
+        body; the second exchange must succeed.
+        """
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", port)
+        try:
+            connection.request(method, path, body=body, headers=headers or {})
+            response = connection.getresponse()
+            outcome = (
+                response.status,
+                response.getheader("Connection"),
+                response.read(),
+            )
+            connection.request("GET", HEALTH_PATH)
+            reused = connection.getresponse()
+            assert reused.status == 200
+            assert json.loads(reused.read().decode("utf-8"))["status"] == "ok"
+        finally:
+            connection.close()
+        return outcome
+
+    def test_binary_frame_on_v1_closes_with_the_header(self, v2):
+        from repro.service import wirebin
+
+        server, api_key = v2
+        status, connection, _ = self._exchange_then_reuse(
+            server.port,
+            "POST",
+            REQUESTS_PATH,
+            body=wirebin.encode_request_frame(_auth_requests(), api_key=api_key),
+            headers={"Content-Type": wirebin.CONTENT_TYPE},
+        )
+        assert (status, connection) == (400, "close")
+
+    def test_torn_stream_closes_with_the_header(self, v2):
+        from repro.service import wirebin
+
+        server, api_key = v2
+        frame = wirebin.encode_request_frame(
+            _auth_requests()[:1], api_key=api_key, frame_id="f-torn"
+        )
+        # One whole frame, then a torn one: the binary send path answers
+        # 200 with the frame's response and a stream-abort marker.
+        status, connection, body = self._exchange_then_reuse(
+            server.port,
+            "POST",
+            "/v2/requests",
+            body=frame + frame[: len(frame) // 2],
+            headers={"Content-Type": wirebin.CONTENT_TYPE},
+        )
+        assert (status, connection) == (200, "close")
+        assert wirebin.decode_response_frames(body)[-1].error is not None
+
+    def test_keep_alive_responses_carry_no_close_header(self, server):
+        status, connection, _ = self._exchange_then_reuse(
+            server.port, "GET", HEALTH_PATH
+        )
+        assert (status, connection) == (200, None)
+
+
 class TestPoolDraining:
     def test_close_also_drops_connections_returned_by_inflight_calls(self):
         class FakeConnection:

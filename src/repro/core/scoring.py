@@ -31,7 +31,7 @@ concrete model types live in :mod:`repro.devices.cloud`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -385,10 +385,6 @@ class FusedStacks:
         ``(n_models,)`` projection intercepts and score sign adjustments.
     accept_nonneg:
         ``(n_models,)`` boolean accept-threshold orientations.
-    position_by_id:
-        Maps ``id(rule)`` to its row in the stacked matrices, so a flush
-        that uses only a subset of the model set can gather its rows
-        without rebuilding anything.
     """
 
     rules: tuple[LinearDecisionRule, ...]
@@ -399,7 +395,6 @@ class FusedStacks:
     y_offset: np.ndarray
     sign: np.ndarray
     accept_nonneg: np.ndarray
-    position_by_id: dict[int, int]
 
     @classmethod
     def build(cls, rules: Sequence[LinearDecisionRule]) -> "FusedStacks":
@@ -415,7 +410,6 @@ class FusedStacks:
             accept_nonneg=np.asarray(
                 [rule.accept_on_nonnegative for rule in rules], dtype=bool
             ),
-            position_by_id={id(rule): index for index, rule in enumerate(rules)},
         )
 
 
@@ -426,8 +420,8 @@ class FusedStackCache:
     cost of a coalesced pass once the einsum itself is cheap (hundreds of
     small per-rule stacking operations per flush).  A serving frontend that
     flushes the same fleet repeatedly reuses one entry for as long as the
-    served models do not change: the stacks cover every fusible model the
-    flush's scorers *serve* (not just the ones this flush's detected
+    served models do not change: the stacks cover every fused model of the
+    flush's :class:`ModelTable` (not just the ones this flush's detected
     contexts happened to select), so per-flush context variation still hits.
 
     The key is the tuple of the rules' ``id``\\ s in canonical (sorted)
@@ -480,7 +474,7 @@ class FusedStackCache:
             A cached entry when this exact rule set was stacked before,
             otherwise a freshly built (and now cached) one.
         """
-        key = tuple(id(rule) for rule in rules)
+        key = tuple(map(id, rules))
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -501,27 +495,142 @@ class FusedStackCache:
             self._entries.clear()
 
 
-def _serving_rules(
-    scorers: Sequence[BatchScorer], width: int
-) -> list[LinearDecisionRule]:
-    """Every fusible *width*-column rule served by the distinct scorers.
+def _decision_rule(model: ScorableModel) -> LinearDecisionRule | None:
+    return model.decision_rule() if hasattr(model, "decision_rule") else None
 
-    Returned id-sorted (the canonical cache order).  Rules of other widths
-    are skipped: they can never score this flush's rows — a *used* model of
-    the wrong width is rejected explicitly before gathering — and stacking
-    them alongside would be a shape error.
+
+def _slot_columns(models: Sequence[ScorableModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Context code and affine-rule width (``0`` = none) of each model."""
+    rules = [_decision_rule(model) for model in models]
+    return (
+        np.fromiter(
+            (CONTEXT_CODES[model.context] for model in models),
+            dtype=np.int8,
+            count=len(models),
+        ),
+        np.fromiter(
+            (0 if rule is None else rule.coef.shape[-1] for rule in rules),
+            dtype=np.intp,
+            count=len(rules),
+        ),
+    )
+
+
+def _row_columns(
+    scorers: Sequence[BatchScorer], slot_of: Mapping[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slot per context code and bundle version of each scorer."""
+    lut = np.empty((len(scorers), len(CONTEXT_BY_CODE)), dtype=np.intp)
+    for row, scorer in enumerate(scorers):
+        lut[row] = [slot_of[id(model)] for model in scorer.model_by_code()]
+    versions = np.fromiter(
+        (scorer.bundle.version for scorer in scorers),
+        dtype=np.int64,
+        count=len(scorers),
+    )
+    return lut, versions
+
+
+@dataclass(frozen=True, eq=False)
+class ModelTable:
+    """The model-slot lookup table a coalesced pass resolves rows through.
+
+    Each row stands for one served :class:`BatchScorer` (one bundle version
+    under one ``use_context`` mode); ``lut[row, code]`` is the slot of the
+    model scoring that row's windows detected under context *code*, with
+    fall-backs and single-model mode already applied.  Slots
+    ``0 .. len(rules) - 1`` are the fusible models in the id-sorted order
+    of :attr:`rules` — exactly their row in the :class:`FusedStacks` built
+    from those rules — so a window's slot is also its gather index into
+    the stacked parameters.  Every other slot scores through its model's
+    own :meth:`~ScorableModel.batch_decisions`.
+
+    Immutable once built: the serving frontend keeps one per registry
+    generation, so a warm flush resolves its whole batch with array
+    gathers alone.  ``eq=False`` for the usual array-field reason.
+
+    Attributes
+    ----------
+    lut:
+        ``(n_rows, len(CONTEXT_BY_CODE))`` model slot per row and code.
+    versions:
+        Bundle version per row.
+    models:
+        The model of each slot.
+    code_by_slot:
+        ``int8`` context code of each slot's model.
+    rule_widths:
+        Feature width of each slot's affine rule (``0`` when it has none).
+    rules:
+        The fusible slots' decision rules, id-sorted (the stack-cache key).
     """
-    rules: dict[int, LinearDecisionRule] = {}
-    seen: set[int] = set()
-    for scorer in scorers:
-        if id(scorer) in seen:
-            continue
-        seen.add(id(scorer))
-        for model in scorer.bundle.models.values():
-            rule = model.decision_rule() if hasattr(model, "decision_rule") else None
-            if rule is not None and rule.coef.shape[-1] == width:
-                rules[id(rule)] = rule
-    return sorted(rules.values(), key=id)
+
+    lut: np.ndarray
+    versions: np.ndarray
+    models: tuple[ScorableModel, ...]
+    code_by_slot: np.ndarray
+    rule_widths: np.ndarray
+    rules: tuple[LinearDecisionRule, ...]
+
+    @classmethod
+    def build(
+        cls, scorers: Sequence[BatchScorer], width: int | None = None
+    ) -> "ModelTable":
+        """A table with one row per scorer, in order.
+
+        Models whose affine rule has *width* columns are fused; with
+        ``width=None``, the width most rules share.  Every other model
+        (no rule, another width) becomes a fallback slot.
+        """
+        distinct: dict[int, ScorableModel] = {}
+        for scorer in scorers:
+            for model in scorer.model_by_code():
+                distinct.setdefault(id(model), model)
+        rule_of = {key: _decision_rule(model) for key, model in distinct.items()}
+        if width is None:
+            widths = Counter(
+                rule.coef.shape[-1] for rule in rule_of.values() if rule is not None
+            )
+            width = widths.most_common(1)[0][0] if widths else 0
+        fused = {
+            id(rule): key
+            for key, rule in rule_of.items()
+            if rule is not None and rule.coef.shape[-1] == width
+        }
+        keys = [fused[rule_id] for rule_id in sorted(fused)]
+        rules = tuple(rule_of[key] for key in keys)
+        fused_keys = set(keys)
+        keys += [key for key in distinct if key not in fused_keys]
+        models = tuple(distinct[key] for key in keys)
+        lut, versions = _row_columns(
+            scorers, {key: slot for slot, key in enumerate(keys)}
+        )
+        return cls(lut, versions, models, *_slot_columns(models), rules)
+
+    def with_fallback_rows(self, scorers: Sequence[BatchScorer]) -> "ModelTable":
+        """This table plus one appended row per scorer.
+
+        Models the table already holds keep their slots; new ones become
+        fallback slots, so the fused rules (and their cache key) stay as
+        they are.
+        """
+        slot_of = {id(model): slot for slot, model in enumerate(self.models)}
+        added: list[ScorableModel] = []
+        for scorer in scorers:
+            for model in scorer.model_by_code():
+                if id(model) not in slot_of:
+                    slot_of[id(model)] = len(self.models) + len(added)
+                    added.append(model)
+        lut, versions = _row_columns(scorers, slot_of)
+        codes, widths = _slot_columns(added)
+        return ModelTable(
+            lut=np.concatenate([self.lut, lut]),
+            versions=np.concatenate([self.versions, versions]),
+            models=self.models + tuple(added),
+            code_by_slot=np.concatenate([self.code_by_slot, codes]),
+            rule_widths=np.concatenate([self.rule_widths, widths]),
+            rules=self.rules,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,7 +641,7 @@ class StackedScoreResult:
     the binary wire codec frames the ``scores`` / ``accepted`` /
     ``model_context_codes`` columns directly, so per-request Python objects
     are only ever built for callers that ask for them
-    (:meth:`result_for` / :meth:`results`).
+    (:meth:`results`).
 
     ``eq=False``: holds NumPy arrays (see
     :class:`~repro.service.protocol.EnrollRequest` for the rationale).
@@ -564,23 +673,46 @@ class StackedScoreResult:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def result_for(self, index: int) -> BatchScoreResult:
-        """Request *index*'s slice as a per-request :class:`BatchScoreResult`."""
-        start, stop = int(self.offsets[index]), int(self.offsets[index + 1])
-        return BatchScoreResult(
-            scores=self.scores[start:stop],
-            accepted=self.accepted[start:stop],
-            model_contexts=decode_contexts(self.model_context_codes[start:stop]),
-            model_version=int(self.model_versions[index]),
-        )
-
     def results(self) -> list[BatchScoreResult]:
         """Every request's slice, in request order."""
-        return [self.result_for(index) for index in range(self.n_requests)]
+        return split_results(
+            self.scores,
+            self.accepted,
+            self.model_context_codes,
+            self.model_versions,
+            self.offsets,
+        )
+
+
+def split_results(
+    scores: np.ndarray,
+    accepted: np.ndarray,
+    model_context_codes: np.ndarray,
+    model_versions: np.ndarray,
+    offsets: np.ndarray,
+) -> list[BatchScoreResult]:
+    """Cut a columnar block into one :class:`BatchScoreResult` per request.
+
+    Offsets and versions convert to Python once and the whole block's
+    contexts decode in one gather; each request then only slices.
+    """
+    bounds = np.asarray(offsets).tolist()
+    versions = np.asarray(model_versions).tolist()
+    contexts = decode_contexts(model_context_codes)
+    return [
+        BatchScoreResult(
+            scores=scores[start:stop],
+            accepted=accepted[start:stop],
+            model_contexts=contexts[start:stop],
+            model_version=version,
+        )
+        for start, stop, version in zip(bounds, bounds[1:], versions)
+    ]
 
 
 def score_stacked(
-    scorers: Sequence[BatchScorer],
+    table: ModelTable,
+    rows: Sequence[int] | np.ndarray,
     stacked: np.ndarray,
     lengths: Sequence[int] | np.ndarray,
     codes: np.ndarray,
@@ -588,17 +720,21 @@ def score_stacked(
 ) -> StackedScoreResult:
     """Score an already-stacked fleet batch in one coalesced pass.
 
-    The columnar twin of :func:`score_requests` (which delegates here):
-    instead of per-request feature arrays, the caller hands one contiguous
+    The kernel both serving doors share: the caller hands one contiguous
     ``(total_windows, n_features)`` block plus per-request *lengths* —
-    exactly the shape the binary wire codec decodes a batch frame into with
-    :func:`np.frombuffer` views — so the serving hot path never
-    concatenates, copies or materializes per-request objects.
+    exactly the shape the binary wire codec decodes a batch frame into
+    with :func:`np.frombuffer` views — and each request's row in a
+    :class:`ModelTable`.  Every window then resolves to its model slot in
+    two array gathers (repeat each request's table row over its windows,
+    index the lookup table with (row, context code) pairs); no per-request
+    or per-row Python runs.
 
     Parameters
     ----------
-    scorers:
-        One :class:`BatchScorer` per request (duplicates allowed).
+    table:
+        The model table the requests resolve through.
+    rows:
+        Each request's row in *table*.
     stacked:
         The combined feature rows, request slices back to back.
     lengths:
@@ -607,7 +743,8 @@ def score_stacked(
         Per-window ``int8`` context codes (already encoded; label input is
         accepted and encoded via :func:`encode_contexts`).
     stack_cache:
-        Optional :class:`FusedStackCache` reused across flushes.
+        Optional :class:`FusedStackCache` reused across flushes: one lookup
+        per pass that fuses any window.
 
     Returns
     -------
@@ -623,12 +760,10 @@ def score_stacked(
         feature width does not match a selected model.
     """
     stacked = canonicalize_rows(stacked)
+    rows = np.asarray(rows, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
-    n_requests = len(lengths)
-    if len(scorers) != n_requests:
-        raise ValueError(
-            f"got {len(scorers)} scorers for {n_requests} request lengths"
-        )
+    if len(rows) != len(lengths):
+        raise ValueError(f"got {len(rows)} table rows for {len(lengths)} request lengths")
     if len(lengths) and int(lengths.min()) < 0:
         raise ValueError("request lengths must be non-negative")
     offsets = offsets_from_lengths(lengths)
@@ -643,11 +778,7 @@ def score_stacked(
         raise ValueError(
             f"got {total} stacked feature rows but {len(codes)} context codes"
         )
-    model_versions = np.fromiter(
-        (scorer.bundle.version for scorer in scorers),
-        dtype=np.int64,
-        count=n_requests,
-    )
+    model_versions = table.versions[rows]
     if total == 0:
         return StackedScoreResult(
             scores=np.empty(0),
@@ -657,119 +788,67 @@ def score_stacked(
             offsets=offsets,
         )
 
-    # Resolve every row to its model with array gathers alone.  Each
-    # distinct scorer contributes one row of a code→slot lookup matrix
-    # (its memoised code→model table mapped onto call-local model slots —
-    # O(distinct scorers) cheap Python); the whole fleet batch then
-    # resolves in two vectorized gathers: repeat each request's lut row
-    # over its windows, and index the matrix with (lut row, context code)
-    # pairs.  No per-row Python anywhere.
-    distinct_models: list[ScorableModel] = []
-    slot_by_model_id: dict[int, int] = {}
-    lut_rows: list[list[int]] = []
-    lut_row_by_scorer: dict[int, int] = {}
-    request_lut_rows = np.empty(n_requests, dtype=np.intp)
-    for index in range(n_requests):
-        if not lengths[index]:
-            request_lut_rows[index] = 0
-            continue
-        scorer = scorers[index]
-        lut_row = lut_row_by_scorer.get(id(scorer))
-        if lut_row is None:
-            entry = []
-            for model in scorer.model_by_code():
-                slot = slot_by_model_id.get(id(model))
-                if slot is None:
-                    slot = slot_by_model_id[id(model)] = len(distinct_models)
-                    distinct_models.append(model)
-                entry.append(slot)
-            lut_row = lut_row_by_scorer[id(scorer)] = len(lut_rows)
-            lut_rows.append(entry)
-        request_lut_rows[index] = lut_row
-    lut_matrix = np.asarray(lut_rows, dtype=np.intp)
-    row_slots = lut_matrix[np.repeat(request_lut_rows, lengths), codes]
-    code_by_slot = np.fromiter(
-        (CONTEXT_CODES[model.context] for model in distinct_models),
-        dtype=np.int8,
-        count=len(distinct_models),
-    )
-    model_context_codes = code_by_slot[row_slots]
+    row_slots = table.lut[np.repeat(rows, lengths), codes]
+    model_context_codes = table.code_by_slot[row_slots]
+    width = stacked.shape[1]
+    mismatched = (table.rule_widths != 0) & (table.rule_widths != width)
+    if mismatched.any():
+        used = np.unique(row_slots)
+        wrong = used[mismatched[used]]
+        if len(wrong):
+            # The fallback path rejects this inside scaler.transform; the
+            # fused gather must refuse too, or NumPy broadcasting (e.g.
+            # width-1 rows against d-wide parameters) would silently score
+            # — and possibly accept — malformed probes.
+            model = table.models[wrong[0]]
+            raise ValueError(
+                f"feature rows have {width} columns but the model for "
+                f"context {model.context.value!r} was trained on "
+                f"{table.rule_widths[wrong[0]]} features"
+            )
 
     scores = np.empty(total)
     accepted = np.empty(total, dtype=bool)
-
-    # Split the *used* model slots into fusible (affine decision rule) and
-    # fallback — an O(models) loop, never O(rows).
-    rule_by_slot: list[LinearDecisionRule | None] = [None] * len(distinct_models)
-    fusible = np.zeros(len(distinct_models), dtype=bool)
-    used_slots = np.unique(row_slots)
-    for slot in used_slots:
-        model = distinct_models[slot]
-        rule = model.decision_rule() if hasattr(model, "decision_rule") else None
-        if rule is None:
-            continue
-        if rule.coef.shape[-1] != stacked.shape[1]:
-            # The fallback path rejects this inside scaler.transform;
-            # the fused gather must refuse too, or NumPy broadcasting
-            # (e.g. width-1 rows against d-wide parameters) would
-            # silently score — and possibly accept — malformed probes.
-            raise ValueError(
-                f"feature rows have {stacked.shape[1]} columns but the "
-                f"model for context {model.context.value!r} was trained "
-                f"on {rule.coef.shape[-1]} features"
-            )
-        rule_by_slot[slot] = rule
-        fusible[slot] = True
-
-    # Fallback models (probability-vote forests, non-linear kernels): one
-    # vectorized batch_decisions call per model, shared across requests.
-    all_fusible = bool(fusible[used_slots].all())
-    if not all_fusible:
-        fallback_rows = np.flatnonzero(~fusible[row_slots])
+    n_fused = len(table.rules)
+    if n_fused == len(table.models):
+        row_index: np.ndarray | slice = slice(None)
+        gather = row_slots
+    else:
+        # Fallback models (probability-vote forests, non-linear kernels,
+        # rows appended for pinned versions): one vectorized
+        # batch_decisions call per model, shared across requests.
+        fused_rows = row_slots < n_fused
+        fallback_rows = np.flatnonzero(~fused_rows)
         for slot, group in _rows_by_slot(row_slots[fallback_rows]):
-            rows = fallback_rows[group]
-            model = distinct_models[slot]
-            scores[rows], accepted[rows] = model.batch_decisions(stacked[rows])
-
-    if fusible.any():
-        if stack_cache is not None:
-            # Stack the whole serving model set, not just this flush's used
-            # subset: the fingerprint then survives per-flush variation in
-            # which contexts the windows resolved to, so repeated fleet
-            # flushes keep hitting one entry until the served models change.
-            stacks = stack_cache.stacks_for(_serving_rules(scorers, stacked.shape[1]))
-        else:
-            stacks = FusedStacks.build(
-                [rule_by_slot[slot] for slot in used_slots if fusible[slot]]
+            picked = fallback_rows[group]
+            scores[picked], accepted[picked] = table.models[slot].batch_decisions(
+                stacked[picked]
             )
+        row_index = np.flatnonzero(fused_rows)
+        gather = row_slots[row_index]
+
+    if len(gather):
+        # The table's whole fused set, not just this flush's used subset:
+        # the cache key then survives per-flush variation in which
+        # contexts the windows resolved to.
+        stacks = (
+            stack_cache.stacks_for(table.rules)
+            if stack_cache is not None
+            else FusedStacks.build(table.rules)
+        )
         # One parameter row per model, gathered out to one row per window:
         # the whole fleet batch then reduces in a single einsum.  Each
         # elementwise operation matches the per-model path exactly
         # (standardise, centre, project, sign-adjust), so the fused scores
         # are bit-for-bit identical.
-        position_by_slot = np.zeros(len(distinct_models), dtype=np.intp)
-        for slot in used_slots:
-            if fusible[slot]:
-                position_by_slot[slot] = stacks.position_by_id[id(rule_by_slot[slot])]
-        if all_fusible:
-            row_index: np.ndarray | slice = slice(None)
-            rows_features = stacked
-            gather = position_by_slot[row_slots]
-        else:
-            row_index = np.flatnonzero(fusible[row_slots])
-            rows_features = stacked[row_index]
-            gather = position_by_slot[row_slots[row_index]]
         mean = stacks.mean[gather]
         scale = stacks.scale[gather]
         x_offset = stacks.x_offset[gather]
         coef = stacks.coef[gather]
-        y_offset = stacks.y_offset[gather]
-        sign = stacks.sign[gather]
-        accept_nonneg = stacks.accept_nonneg[gather]
-        centred = (rows_features - mean) / scale - x_offset
-        raw = np.einsum("ij,ij->i", centred, coef) + y_offset
-        scores[row_index] = sign * raw
-        accepted[row_index] = np.where(accept_nonneg, raw >= 0.0, raw < 0.0)
+        centred = (stacked[row_index] - mean) / scale - x_offset
+        raw = np.einsum("ij,ij->i", centred, coef) + stacks.y_offset[gather]
+        scores[row_index] = stacks.sign[gather] * raw
+        accepted[row_index] = np.where(stacks.accept_nonneg[gather], raw >= 0.0, raw < 0.0)
 
     return StackedScoreResult(
         scores=scores,
@@ -870,7 +949,17 @@ def score_requests(
         ]
     stacked = np.vstack([features for features, _ in batches if len(features)])
     codes = np.concatenate([codes for _, codes in batches])
-    return score_stacked(scorers, stacked, lengths, codes, stack_cache).results()
+    row_of: dict[int, int] = {}
+    distinct: list[BatchScorer] = []
+    for scorer in scorers:
+        if id(scorer) not in row_of:
+            row_of[id(scorer)] = len(distinct)
+            distinct.append(scorer)
+    table = ModelTable.build(distinct, width=stacked.shape[1])
+    rows = np.fromiter(
+        (row_of[id(scorer)] for scorer in scorers), dtype=np.intp, count=n_requests
+    )
+    return score_stacked(table, rows, stacked, lengths, codes, stack_cache).results()
 
 
 def score_fleet(

@@ -72,6 +72,7 @@ from repro.core.scoring import (
     BatchScorer,
     BatchScoreResult,
     FusedStackCache,
+    ModelTable,
     score_fleet,
     score_requests,
     score_stacked,
@@ -168,6 +169,7 @@ __all__ = [
     "FleetReport",
     "FleetSimulator",
     "FusedStackCache",
+    "ModelTable",
     "HashRing",
     "HedgePolicy",
     "LatencyRecorder",

@@ -131,6 +131,7 @@ from repro.service.tracing import (
     Tracer,
 )
 from repro.service.transport import (
+    CLIENT_DISCONNECTS,
     DEADLINE_HEADER,
     HEALTH_PATH,
     HISTOGRAMS_PATH,
@@ -1976,14 +1977,17 @@ class ShardRouter(ThreadingHTTPServer):
         results: Mapping[int, wirebin.ResponseFrame],
         caller_id: str | None,
     ) -> bytes:
-        """Reassemble per-shard columnar results in original request order."""
+        """Reassemble per-shard columnar results in original request order.
+
+        Per-request metadata scatters by index array, and each shard's
+        window block lands in the merged block with one scatter per
+        column: no per-request loop, no per-request concatenation.
+        """
         n_requests = frame.n_requests
         lengths = np.zeros(n_requests, dtype=np.int64)
         versions = np.zeros(n_requests, dtype=np.int64)
         errors: dict[int, ErrorResponse] = {}
-        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = (
-            [None] * n_requests
-        )
+        placed: list[tuple[np.ndarray, ColumnarAuthResult]] = []
         for shard, indices in groups.items():
             columns = results[shard].columns
             if columns is None:
@@ -1991,24 +1995,32 @@ class ShardRouter(ThreadingHTTPServer):
                     f"shard {shard} answered a non-columnar frame for an "
                     "authenticate dispatch"
                 )
-            offsets = offsets_from_lengths(columns.lengths)
-            for position, original in enumerate(indices):
-                start, stop = int(offsets[position]), int(offsets[position + 1])
-                lengths[original] = int(columns.lengths[position])
-                versions[original] = int(columns.model_versions[position])
-                error = columns.errors.get(position)
-                if error is not None:
-                    errors[original] = error
-                blocks[original] = (
-                    columns.scores[start:stop],
-                    columns.accepted[start:stop],
-                    columns.model_context_codes[start:stop],
-                )
+            originals = np.asarray(indices, dtype=np.intp)
+            lengths[originals] = columns.lengths
+            versions[originals] = columns.model_versions
+            for position in sorted(columns.errors):
+                errors[int(originals[position])] = columns.errors[position]
+            placed.append((originals, columns))
+        offsets = offsets_from_lengths(lengths)
+        total = int(offsets[-1])
+        scores = np.empty(total)
+        accepted = np.empty(total, dtype=bool)
+        codes = np.empty(total, dtype=np.int8)
+        for originals, columns in placed:
+            # Window w of the shard's block belongs to its request p and
+            # moves from the shard's offset of p to the merged offset of p.
+            shard_lengths = np.asarray(columns.lengths, dtype=np.intp)
+            shard_offsets = offsets_from_lengths(shard_lengths)
+            moved = np.repeat(offsets[originals] - shard_offsets[:-1], shard_lengths)
+            targets = moved + np.arange(int(shard_offsets[-1]))
+            scores[targets] = columns.scores
+            accepted[targets] = columns.accepted
+            codes[targets] = columns.model_context_codes
         merged = ColumnarAuthResult(
             user_ids=frame.user_ids,
-            scores=np.concatenate([block[0] for block in blocks]),
-            accepted=np.concatenate([block[1] for block in blocks]),
-            model_context_codes=np.concatenate([block[2] for block in blocks]),
+            scores=scores,
+            accepted=accepted,
+            model_context_codes=codes,
             lengths=lengths,
             model_versions=versions,
             errors=errors,
@@ -2142,6 +2154,17 @@ class ShardRouter(ThreadingHTTPServer):
     def port(self) -> int:
         """The bound TCP port (useful with ``port=0``)."""
         return self.server_address[1]
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """Count a client that hung up mid-exchange; report anything else.
+
+        Bumps ``router.client_disconnects`` and prints no traceback for a
+        client closing its socket before reading the answer.
+        """
+        if isinstance(sys.exc_info()[1], CLIENT_DISCONNECTS):
+            self.telemetry.increment("router.client_disconnects")
+            return
+        super().handle_error(request, client_address)
 
     def serve_background(self) -> "ShardRouter":
         """Start serving on a daemon thread; returns ``self`` (idempotent)."""

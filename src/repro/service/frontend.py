@@ -9,8 +9,8 @@ and wraps every dispatch in middleware:
   :class:`~repro.service.protocol.ErrorResponse`\\ s instead of propagating,
   so one bad request in a batch never poisons its neighbours;
 * **per-user serialization** — requests touching the same user are applied
-  under that user's lock, keeping read-modify-write operations (enroll,
-  drift retrain) safe under concurrent submission.
+  under that user's lock stripe, keeping read-modify-write operations
+  (enroll, drift retrain) safe under concurrent submission.
 
 Its distinguishing feature is **micro-batching**: consecutive
 :class:`~repro.service.protocol.AuthenticateRequest`\\ s in one
@@ -22,10 +22,15 @@ the responses are fanned back out in request order.  Windows whose requests
 carry no device-reported contexts are labelled inside the same batched pass
 by the registry-published context detector.
 
-The coalesced pass reuses the stacked model parameters across flushes
-through a :class:`~repro.core.scoring.FusedStackCache` keyed by the serving
-model set, invalidated whenever the model registry's generation moves
-(publish / rollback / detector publish).
+The columnar door resolves its frames through a :class:`ServingTable`:
+every served user's row in one :class:`~repro.core.scoring.ModelTable`,
+built once per ``(registry generation, use_context)`` and reused by every
+frame until a publish, rollback or detector publish moves the generation.
+A warm frame therefore resolves 500 users with one dict lookup each and
+array gathers, never a per-user scorer lookup.  Both doors reuse the
+stacked model parameters across flushes through a
+:class:`~repro.core.scoring.FusedStackCache` keyed by the fused model set,
+cleared whenever the generation moves.
 
 :class:`MicroBatchQueue` adds the asynchronous variant: concurrent callers
 enqueue single requests and receive futures, while a background worker
@@ -40,17 +45,19 @@ from __future__ import annotations
 
 import queue
 import threading
-import weakref
 from concurrent.futures import Future
-from itertools import count
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import count, repeat
 from time import monotonic, perf_counter
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.scoring import (
     CONTEXT_CODES,
     FusedStackCache,
+    ModelTable,
     offsets_from_lengths,
     score_requests,
     score_stacked,
@@ -71,6 +78,39 @@ from repro.service.protocol import (
 )
 from repro.service.telemetry import TelemetryHub
 from repro.service.tracing import SPAN_FUSED_PASS, SPAN_QUEUE_WAIT
+
+#: Lock stripes per frontend.  A user always maps to the same stripe, so
+#: requests touching one user stay serialized, while the lock table stays
+#: this size however many user ids (attacker-chosen ones included) arrive.
+LOCK_STRIPES = 64
+
+
+def lock_stripe(user_id: str) -> int:
+    """The index of the lock stripe serializing *user_id*'s requests."""
+    return hash(user_id) % LOCK_STRIPES
+
+
+@dataclass(frozen=True, eq=False)
+class ServingTable:
+    """Every served user's model resolution at one registry generation.
+
+    Immutable: a registry change never edits a table, it makes the next
+    flush build a new one.  ``eq=False`` for the usual array-field reason.
+
+    Attributes
+    ----------
+    generation, use_context:
+        The registry generation and scoring mode the table was built for.
+    row_by_user:
+        Each served user's row in :attr:`models`.
+    models:
+        One row per served user: the newest active bundle's model slots.
+    """
+
+    generation: int
+    use_context: bool
+    row_by_user: dict[str, int]
+    models: ModelTable
 
 
 class ServiceFrontend:
@@ -103,34 +143,74 @@ class ServiceFrontend:
         self.telemetry = telemetry if telemetry is not None else self.gateway.telemetry
         self.stack_cache = stack_cache if stack_cache is not None else FusedStackCache()
         self._stack_generation = self.gateway.registry.generation
+        # Built by the first columnar flush after the generation moves,
+        # never during enrollment.
+        self._table: ServingTable | None = None
         # Set by the transport / fleet when request tracing is enabled;
         # ``None`` keeps the scoring hot path byte-identical to untraced.
         self.tracer = None
         # Monotonic flush ids tag which coalesced pass served each traced
         # request (batch-membership attribution across concurrent flushes).
         self._flush_ids = count(1)
-        # Weak-valued, so the table stays bounded by *in-flight* users
-        # rather than growing one entry per user id ever seen (including
-        # attacker-controlled ids that only ever produce ErrorResponses):
-        # callers hold a strong reference to their lock for the duration of
-        # a dispatch, so concurrent requests for one user still share one
-        # lock, and entries vanish once no request is using them.
-        self._locks: "weakref.WeakValueDictionary[str, threading.Lock]" = (
-            weakref.WeakValueDictionary()
-        )
-        self._locks_guard = threading.Lock()
+        self._stripes = tuple(threading.Lock() for _ in range(LOCK_STRIPES))
 
     # ------------------------------------------------------------------ #
     # middleware plumbing
     # ------------------------------------------------------------------ #
 
-    def _lock_for(self, user_id: str) -> threading.Lock:
-        with self._locks_guard:
-            lock = self._locks.get(user_id)
-            if lock is None:
-                lock = threading.Lock()
-                self._locks[user_id] = lock
-            return lock
+    @contextmanager
+    def _locked(self, user_ids: Iterable[str]) -> Iterator[None]:
+        """Hold the lock stripes of *user_ids* (each once, in stripe order).
+
+        Every multi-stripe holder acquires in ascending stripe order, so two
+        flushes sharing stripes can never deadlock.
+        """
+        locks = [self._stripes[index] for index in sorted(set(map(lock_stripe, user_ids)))]
+        for lock in locks:
+            lock.acquire()
+        try:
+            yield
+        finally:
+            for lock in reversed(locks):
+                lock.release()
+
+    def _serving_table(self) -> ServingTable:
+        """The serving table of the current generation, built on first use.
+
+        The generation is read before any version, so a publish racing the
+        build leaves the table tagged with the older generation and the
+        next flush rebuilds.  Two flushes racing to build both produce a
+        valid table; the last one stored wins.
+        """
+        gateway = self.gateway
+        generation = gateway.registry.generation
+        table = self._table
+        if (
+            table is not None
+            and table.generation == generation
+            and table.use_context == gateway.use_context
+        ):
+            return table
+        use_context = gateway.use_context
+        users: list[str] = []
+        scorers = []
+        for user_id in gateway.registry.users():
+            try:
+                scorer = gateway.scorer_for(user_id)
+            except Exception:
+                # Left out of the table: its requests resolve through
+                # scorer_for one by one, which answers the typed error.
+                continue
+            users.append(user_id)
+            scorers.append(scorer)
+        table = ServingTable(
+            generation=generation,
+            use_context=use_context,
+            row_by_user={user_id: row for row, user_id in enumerate(users)},
+            models=ModelTable.build(scorers),
+        )
+        self._table = table
+        return table
 
     def _refresh_stack_cache(self) -> None:
         """Drop cached fused stacks once the registry's generation moved.
@@ -235,7 +315,7 @@ class ServiceFrontend:
         with self.telemetry.timer(f"frontend.{kind}"):
             try:
                 if user_id is not None:
-                    with self._lock_for(user_id):
+                    with self._locked((user_id,)):
                         return self.gateway.handle(request)
                 return self.gateway.handle(request)
             except Exception as error:
@@ -272,14 +352,8 @@ class ServiceFrontend:
             )
         self.telemetry.increment("frontend.requests", columns.n_requests)
         with self.telemetry.timer("frontend.authenticate"):
-            locks = [self._lock_for(user) for user in sorted(set(columns.user_ids))]
-            for lock in locks:
-                lock.acquire()
-            try:
+            with self._locked(columns.user_ids):
                 return self._score_columns(columns)
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
 
     def _score_columns(self, columns: AuthenticateColumns) -> ColumnarAuthResult:
         # The columnar batch was rebuilt from wire bytes, so its trace (if
@@ -314,23 +388,10 @@ class ServiceFrontend:
                             "authenticate", error, user_ids[index]
                         )
 
-        # 2. Resolve each surviving request's served scorer; a missing
-        #    model rejects that request alone.
-        live: list[int] = []
-        scorers = []
-        for index in range(n_requests):
-            if index in errors:
-                continue
-            try:
-                scorer = self.gateway.scorer_for(
-                    user_ids[index], columns.version_for(index)
-                )
-            except Exception as error:
-                errors[index] = self._error("authenticate", error, user_ids[index])
-                continue
-            live.append(index)
-            scorers.append(scorer)
-
+        # 2. Resolve each surviving request to its serving-table row; a
+        #    missing model rejects that request alone.
+        rows, models = self._table_rows(columns, errors)
+        live = [index for index in range(n_requests) if index not in errors]
         scored_lengths = np.zeros(n_requests, dtype=np.intp)
         model_versions = np.zeros(n_requests, dtype=np.int64)
         if not live:
@@ -355,6 +416,7 @@ class ServiceFrontend:
             stacked = columns.features[keep]
             live_lengths = lengths[live]
             live_codes = codes[keep]
+            rows = rows[live]
 
         # 3. One coalesced scoring pass over every surviving request; if
         #    the shared pass fails (e.g. one request's rows do not match
@@ -367,17 +429,16 @@ class ServiceFrontend:
         try:
             with self.telemetry.timer("authenticate"):
                 stacked_result = score_stacked(
-                    scorers, stacked, live_lengths, live_codes, self.stack_cache
+                    models, rows, stacked, live_lengths, live_codes, self.stack_cache
                 )
         except Exception:
             fused = False
             scores, accepted, model_codes = self._score_columns_fallback(
+                columns,
                 live,
-                scorers,
                 stacked,
                 live_lengths,
                 live_codes,
-                user_ids,
                 errors,
                 scored_lengths,
                 model_versions,
@@ -418,19 +479,65 @@ class ServiceFrontend:
             errors=errors,
         )
 
+    def _table_rows(
+        self, columns: AuthenticateColumns, errors: dict[int, ErrorResponse]
+    ) -> tuple[np.ndarray, ModelTable]:
+        """Every request's row in the serving table (or appended to it).
+
+        A request not in *errors* resolves to its user's row in the
+        current :class:`ServingTable`.  Users missing from the table and
+        version pins the table does not serve resolve through
+        :meth:`~repro.service.gateway.AuthenticationGateway.scorer_for`:
+        its typed error joins *errors*, or its scorer becomes a row
+        appended to the table for this flush only.
+        """
+        table = self._serving_table()
+        user_ids, versions = columns.user_ids, columns.versions
+        row_by_user = table.row_by_user
+        rows = np.fromiter(
+            map(row_by_user.get, user_ids, repeat(-1)), dtype=np.intp, count=len(user_ids)
+        )
+        missing = rows < 0
+        if versions is not None:
+            served = table.models.versions
+            for index, version in enumerate(versions):
+                if version is not None and (
+                    rows[index] < 0 or version != served[rows[index]]
+                ):
+                    missing[index] = True
+        missing[list(errors)] = False
+        models = table.models
+        if missing.any():
+            appended: list[int] = []
+            scorers = []
+            for index in np.flatnonzero(missing).tolist():
+                try:
+                    scorer = self.gateway.scorer_for(
+                        user_ids[index], columns.version_for(index)
+                    )
+                except Exception as error:
+                    errors[index] = self._error("authenticate", error, user_ids[index])
+                    continue
+                appended.append(index)
+                scorers.append(scorer)
+            if scorers:
+                rows[appended] = models.lut.shape[0] + np.arange(len(scorers))
+                models = models.with_fallback_rows(scorers)
+        return rows, models
+
     def _score_columns_fallback(
         self,
+        columns: AuthenticateColumns,
         live: list[int],
-        scorers: list,
         stacked: np.ndarray,
         live_lengths: np.ndarray,
         live_codes: np.ndarray,
-        user_ids: Sequence[str],
         errors: dict[int, ErrorResponse],
         scored_lengths: np.ndarray,
         model_versions: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-request isolation path once the fused columnar pass failed."""
+        user_ids = columns.user_ids
         live_offsets = offsets_from_lengths(live_lengths)
         kept_scores: list[np.ndarray] = []
         kept_accepted: list[np.ndarray] = []
@@ -438,10 +545,9 @@ class ServiceFrontend:
         for position, index in enumerate(live):
             start, stop = int(live_offsets[position]), int(live_offsets[position + 1])
             try:
+                scorer = self.gateway.scorer_for(user_ids[index], columns.version_for(index))
                 with self.telemetry.timer("authenticate"):
-                    result = scorers[position].score(
-                        stacked[start:stop], live_codes[start:stop]
-                    )
+                    result = scorer.score(stacked[start:stop], live_codes[start:stop])
             except Exception as error:
                 errors[index] = self._error("authenticate", error, user_ids[index])
                 continue
@@ -473,14 +579,8 @@ class ServiceFrontend:
     ) -> list[Response]:
         self.telemetry.increment("frontend.requests", len(batch))
         with self.telemetry.timer("frontend.authenticate"):
-            locks = [self._lock_for(user) for user in sorted({r.user_id for r in batch})]
-            for lock in locks:
-                lock.acquire()
-            try:
+            with self._locked(request.user_id for request in batch):
                 return self._score_batch(batch)
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
 
     def _score_batch(self, batch: Sequence[AuthenticateRequest]) -> list[Response]:
         # Object requests carry traces by identity binding (they cross the

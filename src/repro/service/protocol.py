@@ -42,9 +42,9 @@ import numpy as np
 from repro.core.scoring import (
     BatchScoreResult,
     canonicalize_rows,
-    decode_contexts,
     encode_contexts,
     offsets_from_lengths,
+    split_results,
 )
 from repro.features.vector import FeatureMatrix
 from repro.sensors.types import CoarseContext
@@ -413,27 +413,19 @@ class ColumnarAuthResult:
         binary client uses it so callers of ``submit_many`` see exactly the
         responses the JSON codec would have produced.
         """
-        offsets = offsets_from_lengths(self.lengths)
-        responses: list[Response] = []
-        for index in range(self.n_requests):
-            error = self.errors.get(index)
-            if error is not None:
-                responses.append(error)
-                continue
-            start, stop = int(offsets[index]), int(offsets[index + 1])
-            responses.append(
-                AuthenticationResponse(
-                    user_id=self.user_ids[index],
-                    result=BatchScoreResult(
-                        scores=self.scores[start:stop],
-                        accepted=self.accepted[start:stop],
-                        model_contexts=decode_contexts(
-                            self.model_context_codes[start:stop]
-                        ),
-                        model_version=int(self.model_versions[index]),
-                    ),
-                )
-            )
+        results = split_results(
+            self.scores,
+            self.accepted,
+            self.model_context_codes,
+            self.model_versions,
+            offsets_from_lengths(self.lengths),
+        )
+        responses: list[Response] = [
+            AuthenticationResponse(user_id=user_id, result=result)
+            for user_id, result in zip(self.user_ids, results)
+        ]
+        for index, error in self.errors.items():
+            responses[index] = error
         return responses
 
 #: The hot-path operations: the only request types the data plane serves,

@@ -83,6 +83,7 @@ import argparse
 import json
 import shutil
 import signal
+import sys
 import tempfile
 import threading
 from http.client import HTTPConnection, HTTPException
@@ -137,6 +138,9 @@ from repro.service.tracing import (
     Tracer,
 )
 from repro.utils import serialization
+
+#: Socket errors meaning the client hung up before the exchange finished.
+CLIENT_DISCONNECTS = (BrokenPipeError, ConnectionResetError)
 
 #: The legacy (v1) protocol endpoint: bare wire requests, default caller.
 REQUESTS_PATH = "/v1/requests"
@@ -1186,6 +1190,18 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def port(self) -> int:
         """The bound TCP port (useful with ``port=0``)."""
         return self.server_address[1]
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """Count a client that hung up mid-exchange; report anything else.
+
+        A client closing its socket before reading the answer is routine,
+        not a server fault: it bumps ``transport.client_disconnects`` and
+        prints no traceback.
+        """
+        if isinstance(sys.exc_info()[1], CLIENT_DISCONNECTS):
+            self.telemetry.increment("transport.client_disconnects")
+            return
+        super().handle_error(request, client_address)
 
     def serve_background(self) -> "ServiceHTTPServer":
         """Start serving on a daemon thread; returns ``self`` (idempotent)."""

@@ -6,6 +6,11 @@ fast while individual tests remain independent of execution order.
 
 from __future__ import annotations
 
+import socket
+import struct
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -92,3 +97,51 @@ def deployed_system(population, free_form_dataset, lab_dataset, small_config):
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(321)
+
+
+@pytest.fixture()
+def hang_up():
+    """POST a body, then reset the socket while the server holds its answer.
+
+    ``hang_up(server, hold, path, body, content_type, counter)`` wraps the
+    server's *hold* method so it parks after computing the answer, sends
+    the raw request, closes the client socket with an RST (``SO_LINGER``
+    0) once the server is parked, releases it, and waits until the
+    server's *counter* moves.  Returns the counter's value.
+    """
+
+    def hang_up(server, hold, path, body, content_type, counter):
+        original = getattr(server, hold)
+        parked, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            finally:
+                parked.set()
+                release.wait(30)
+
+        setattr(server, hold, held)
+        try:
+            head = (
+                f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii")
+            with socket.create_connection(("127.0.0.1", server.port)) as client:
+                client.sendall(head + body)
+                assert parked.wait(30), "the server never reached the held call"
+                client.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            release.set()
+            deadline = time.monotonic() + 30
+            while server.telemetry.counter_value(counter) == 0:
+                assert time.monotonic() < deadline, f"{counter} never moved"
+                time.sleep(0.01)
+            return server.telemetry.counter_value(counter)
+        finally:
+            release.set()
+            delattr(server, hold)
+
+    return hang_up

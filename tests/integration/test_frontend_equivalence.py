@@ -160,3 +160,30 @@ def test_forest_models_have_no_affine_rule():
     bundle = frontend.gateway.registry.bundle_for("owner")
     for model in bundle.models.values():
         assert model.decision_rule() is None
+
+
+@pytest.mark.parametrize(
+    "family, classifier_factory",
+    [(family, factory) for family, factory, _ in FAMILIES],
+    ids=[family for family, _, _ in FAMILIES],
+)
+def test_columnar_door_matches_the_object_door(family, classifier_factory):
+    """The serving-table door scores fused and fallback slots bit for bit."""
+    from repro.service.protocol import AuthenticateColumns
+
+    frontend = build_frontend(classifier_factory)
+    requests = probe_requests(np.random.default_rng(19))
+    columns = AuthenticateColumns(
+        user_ids=tuple(request.user_id for request in requests),
+        features=np.vstack([request.features for request in requests]),
+        lengths=np.array([len(request.features) for request in requests]),
+        context_codes=np.concatenate([request.context_codes for request in requests]),
+    )
+    for _ in range(2):  # the cold flush builds the table, the warm one reuses it
+        result = frontend.submit_columns(columns)
+        assert not result.errors
+        for expected, actual in zip(frontend.submit_many(requests), result.responses()):
+            assert actual.scores.tobytes() == expected.scores.tobytes(), family
+            assert actual.accepted.tobytes() == expected.accepted.tobytes(), family
+            assert actual.result.model_contexts == expected.result.model_contexts
+            assert actual.model_version == expected.model_version

@@ -220,3 +220,70 @@ class TestBinaryCodecEquivalence:
         # The hot phases actually used binary frames, not a JSON fallback.
         counters = report.telemetry["counters"]
         assert counters.get("transport.binary_frames", 0) >= 4
+
+
+class TestServingTableFrame:
+    def test_pins_and_an_unknown_user_inside_a_500_user_frame(self, fleet, probes):
+        """One columnar frame: table rows, appended pin rows and typed errors."""
+        from repro.service.protocol import AuthenticateColumns, ErrorResponse
+
+        gateway = fleet.gateway
+        retrained = fleet.users[7].user_id
+        gateway.train(retrained)  # serves version 2; version 1 stays pinnable
+        try:
+            requests = list(probes)
+            pins = {7: 1, 8: 1, 9: 99}
+            for index, version in pins.items():
+                request = requests[index]
+                requests[index] = AuthenticateRequest(
+                    user_id=request.user_id,
+                    features=request.features,
+                    contexts=request.contexts,
+                    version=version,
+                )
+            requests[250] = AuthenticateRequest(
+                user_id="nobody-enrolled",
+                features=requests[250].features,
+                contexts=requests[250].contexts,
+            )
+            reference = fleet.frontend.submit_many(requests)
+            # Half the probes report contexts; the frame carries those and
+            # the detector's codes for the rest, as the object door does.
+            codes = np.concatenate(
+                [
+                    request.context_codes
+                    if request.contexts is not None
+                    else gateway.detect_context_codes(request.features)
+                    for request in requests
+                ]
+            )
+            columns = AuthenticateColumns(
+                user_ids=tuple(request.user_id for request in requests),
+                features=np.vstack([request.features for request in requests]),
+                lengths=np.array([len(request.features) for request in requests]),
+                context_codes=codes,
+                versions=tuple(request.version for request in requests),
+            )
+            responses = fleet.frontend.submit_columns(columns).responses()
+            assert len(responses) == FLEET_USERS
+            assert set(
+                index
+                for index, response in enumerate(responses)
+                if isinstance(response, ErrorResponse)
+            ) == {9, 250}
+            for index, (local, remote) in enumerate(zip(reference, responses)):
+                if isinstance(local, ErrorResponse):
+                    assert remote == local
+                    continue
+                assert remote.scores.tobytes() == local.scores.tobytes()
+                assert remote.accepted.tobytes() == local.accepted.tobytes()
+                assert remote.result.model_contexts == local.result.model_contexts
+                assert remote.model_version == local.model_version
+            assert responses[7].model_version == 1
+            start = sum(len(request.features) for request in requests[:7])
+            expected = gateway.scorer_for(retrained, 1).score(
+                requests[7].features, codes[start : start + len(requests[7].features)]
+            )
+            assert responses[7].scores.tobytes() == expected.scores.tobytes()
+        finally:
+            gateway.rollback(retrained)

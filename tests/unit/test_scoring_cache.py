@@ -34,7 +34,6 @@ class TestFusedStacks:
         for index, one in enumerate(rules):
             np.testing.assert_array_equal(stacks.mean[index], one.mean)
             np.testing.assert_array_equal(stacks.coef[index], one.coef)
-            assert stacks.position_by_id[id(one)] == index
 
 
 class TestFusedStackCache:

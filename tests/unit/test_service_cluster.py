@@ -694,3 +694,93 @@ class TestGracefulDrain:
         sealed = loads_sealed(body.decode("utf-8"))
         assert isinstance(sealed.response, ErrorResponse)
         assert "shard-router operation" in sealed.response.message
+
+
+def _post(port, body, content_type):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v2/requests",
+        data=body,
+        headers={"Content-Type": content_type},
+        method="POST",
+    )
+    with urllib.request.urlopen(request) as response:
+        return response.read()
+
+
+class TestRouterMerge:
+    def test_merged_frame_is_byte_identical_to_one_worker_answer(
+        self, cluster, fleet, probes
+    ):
+        """Errored and zero-length requests interleaved across both shards."""
+        router, servers = cluster
+        width = len(fleet.feature_names)
+        requests = []
+        for index, probe in enumerate(probes):
+            requests.append(probe)
+            if index % 3 == 0:
+                requests.append(
+                    AuthenticateRequest(
+                        user_id=f"ghost-{index}",
+                        features=probe.features,
+                        contexts=probe.contexts,
+                    )
+                )
+            if index % 4 == 1:
+                requests.append(
+                    AuthenticateRequest(
+                        user_id=probe.user_id,
+                        features=np.empty((0, width)),
+                        contexts=(),
+                    )
+                )
+        user_ids = [request.user_id for request in requests]
+        assert len(router.ring.split(user_ids)) == 2
+        body = wirebin.encode_request_frame(
+            requests, api_key=API_KEY, frame_id="merge-1", op="authenticate"
+        )
+        merged = _post(router.port, body, wirebin.CONTENT_TYPE)
+        # Every worker loads the whole registry, so one worker can answer
+        # the unsplit frame: the router's merge must reproduce it exactly.
+        direct = _post(servers[0].port, body, wirebin.CONTENT_TYPE)
+        assert merged == direct
+        (frame,) = wirebin.decode_response_frames(merged)
+        columns = frame.columns
+        assert set(columns.errors) == {
+            index for index, user_id in enumerate(user_ids) if user_id.startswith("ghost-")
+        }
+        served_empty = [
+            index
+            for index, length in enumerate(columns.lengths.tolist())
+            if length == 0 and index not in columns.errors
+        ]
+        assert served_empty and all(
+            len(requests[index].features) == 0 for index in served_empty
+        )
+
+
+class TestRouterClientDisconnects:
+    def test_client_gone_before_a_large_binary_answer_is_counted(
+        self, cluster, fleet, hang_up, capfd
+    ):
+        router, _ = cluster
+        rng = np.random.default_rng(31)
+        width = len(fleet.feature_names)
+        requests = [
+            AuthenticateRequest(
+                user_id=user.user_id,
+                features=rng.normal(0.0, 1.0, size=(2000, width)),
+                contexts=(CoarseContext.STATIONARY,) * 2000,
+            )
+            for user in fleet.users[:8]
+        ]
+        body = wirebin.encode_request_frame(requests, api_key=API_KEY)
+        count = hang_up(
+            router,
+            "route_frame",
+            "/v2/requests",
+            body,
+            wirebin.CONTENT_TYPE,
+            "router.client_disconnects",
+        )
+        assert count == 1
+        assert "Traceback" not in capfd.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from repro.features.vector import FeatureMatrix
 from repro.sensors.types import CoarseContext
-from repro.service.frontend import MicroBatchQueue, ServiceFrontend
+from repro.service.frontend import LOCK_STRIPES, MicroBatchQueue, ServiceFrontend
 from repro.service.gateway import AuthenticationGateway
 from repro.service.protocol import (
     AuthenticateRequest,
@@ -118,8 +118,7 @@ class TestDispatch:
         assert response.accept_rate == 0.0
 
     def test_user_lock_table_stays_bounded(self, frontend):
-        import gc
-
+        stripes = frontend._stripes
         for index in range(200):
             response = frontend.submit(
                 AuthenticateRequest(
@@ -129,10 +128,11 @@ class TestDispatch:
                 )
             )
             assert isinstance(response, ErrorResponse)
-        gc.collect()
-        # Locks for finished requests have been reclaimed; only (at most)
-        # stragglers whose weakrefs have not been cleared yet remain.
-        assert len(frontend._locks) < 200
+        # 200 distinct ids (attacker-chosen ones included) share the fixed
+        # stripe array: nothing was added, and every stripe is released.
+        assert frontend._stripes is stripes
+        assert len(stripes) == LOCK_STRIPES
+        assert not any(lock.locked() for lock in stripes)
 
     def test_non_protocol_input_raises(self, frontend):
         with pytest.raises(TypeError, match="not a protocol request"):
@@ -856,3 +856,294 @@ class TestColumnarDoor:
                 lengths=np.array([2]),
                 context_codes=np.array([0], dtype=np.int8),
             )
+
+
+class TestServingTable:
+    """submit_columns resolves users through a table built once per generation."""
+
+    USERS = ("alice", "bg1", "bg2")
+
+    def _trained(self, frontend):
+        train_alice(frontend)
+        for uid in ("bg1", "bg2"):
+            frontend.gateway.train(uid)
+
+    def _columns(self, users=USERS, versions=None, detect=False, seed=70):
+        from repro.core.scoring import encode_contexts
+        from repro.service.protocol import AuthenticateColumns
+
+        rng = np.random.default_rng(seed)
+        contexts = (CoarseContext.STATIONARY, CoarseContext.MOVING) * 2
+        return AuthenticateColumns(
+            user_ids=tuple(users),
+            features=rng.normal(2.0, 2.5, size=(4 * len(users), 5)),
+            lengths=np.full(len(users), 4),
+            context_codes=None if detect else encode_contexts(contexts * len(users)),
+            versions=versions,
+        )
+
+    def _assert_served_like_scorer_for(self, frontend, columns):
+        """Every answer equals ``scorer_for(user, version).score`` bit for bit."""
+        gateway = frontend.gateway
+        result = frontend.submit_columns(columns)
+        responses = result.responses()
+        codes = columns.context_codes
+        if codes is None:
+            codes = gateway.detect_context_codes(columns.features)
+        for index, user_id in enumerate(columns.user_ids):
+            rows = slice(4 * index, 4 * index + 4)
+            try:
+                expected = gateway.scorer_for(user_id, columns.version_for(index)).score(
+                    columns.features[rows], codes[rows]
+                )
+            except KeyError as error:
+                assert isinstance(responses[index], ErrorResponse)
+                assert responses[index].error == "KeyError"
+                assert responses[index].message == str(error)
+                continue
+            actual = responses[index]
+            assert isinstance(actual, AuthenticationResponse)
+            assert actual.scores.tobytes() == expected.scores.tobytes()
+            assert actual.accepted.tobytes() == expected.accepted.tobytes()
+            assert actual.result.model_contexts == expected.model_contexts
+            assert actual.model_version == expected.model_version
+        return responses
+
+    def _count_lookups(self, frontend, monkeypatch):
+        calls = {"scorer_for": 0, "latest_version": 0}
+        for owner, name in (
+            (frontend.gateway, "scorer_for"),
+            (frontend.gateway.registry, "latest_version"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_warm_generation_makes_no_per_user_lookups(self, frontend, monkeypatch):
+        self._trained(frontend)
+        frontend.submit_columns(self._columns(seed=71))  # builds the table
+        calls = self._count_lookups(frontend, monkeypatch)
+        frontend.submit_columns(self._columns(seed=72))
+        assert calls == {"scorer_for": 0, "latest_version": 0}
+        # A publish moves the generation: exactly one rebuild over the
+        # registry's users, then warm again.
+        frontend.gateway.train("bg1")
+        frontend.submit_columns(self._columns(seed=73))
+        assert calls["scorer_for"] == len(frontend.gateway.registry.users())
+        before = dict(calls)
+        frontend.submit_columns(self._columns(seed=74))
+        assert calls == before
+
+    def test_drift_report_serves_the_new_version(self, frontend):
+        self._trained(frontend)
+        first = self._assert_served_like_scorer_for(frontend, self._columns())
+        assert first[0].model_version == 1
+        drift = frontend.submit(
+            DriftReport(user_id="alice", matrix=matrix("alice", 0.5, n=30, seed=75))
+        )
+        assert isinstance(drift, DriftResponse)
+        after = self._assert_served_like_scorer_for(frontend, self._columns())
+        assert after[0].model_version == drift.new_version == 2
+
+    def test_rollback_serves_the_previous_version(self, frontend):
+        self._trained(frontend)
+        frontend.submit(
+            DriftReport(user_id="alice", matrix=matrix("alice", 0.5, n=30, seed=76))
+        )
+        assert self._assert_served_like_scorer_for(frontend, self._columns())[0].model_version == 2
+        frontend.submit(RollbackRequest(user_id="alice"))
+        assert self._assert_served_like_scorer_for(frontend, self._columns())[0].model_version == 1
+
+    def test_use_context_flip_rebuilds_without_a_publish(self, frontend):
+        self._trained(frontend)
+        contextual = self._assert_served_like_scorer_for(frontend, self._columns())
+        generation = frontend.gateway.registry.generation
+        frontend.gateway.use_context = False
+        flat = self._assert_served_like_scorer_for(frontend, self._columns())
+        assert frontend.gateway.registry.generation == generation
+        assert set(flat[0].result.model_contexts) == {CoarseContext.STATIONARY}
+        assert contextual[0].result.model_contexts != flat[0].result.model_contexts
+
+    def test_detector_publish_rebuilds_and_detects_with_the_new_detector(self, frontend):
+        self._trained(frontend)
+        gateway = frontend.gateway
+        gateway.train_context_detector(
+            matrix("alice", 0.0, context="stationary", seed=5).concatenate(
+                matrix("alice", 4.0, context="moving", seed=6)
+            )
+        )
+        old = gateway.detect_context_codes(self._columns(detect=True).features)
+        self._assert_served_like_scorer_for(frontend, self._columns(detect=True))
+        gateway.train_context_detector(
+            matrix("alice", 4.0, context="stationary", seed=7).concatenate(
+                matrix("alice", 0.0, context="moving", seed=8)
+            )
+        )
+        new = gateway.detect_context_codes(self._columns(detect=True).features)
+        assert not np.array_equal(old, new)
+        self._assert_served_like_scorer_for(frontend, self._columns(detect=True))
+
+    def test_pins_and_unknown_users_keep_their_typed_answers(self, frontend):
+        self._trained(frontend)
+        frontend.submit(
+            DriftReport(user_id="alice", matrix=matrix("alice", 0.5, n=30, seed=77))
+        )
+        columns = self._columns(
+            users=("alice", "ghost", "alice", "bg1", "alice", "bg2"),
+            versions=(1, None, None, 1, 9, None),
+        )
+        responses = self._assert_served_like_scorer_for(frontend, columns)
+        assert [getattr(r, "model_version", None) for r in responses] == [
+            1, None, 2, 1, None, 1
+        ]
+        assert isinstance(responses[1], ErrorResponse)
+        assert isinstance(responses[4], ErrorResponse)
+        # The object door answers the very same typed errors.
+        requests = [
+            AuthenticateRequest(
+                user_id=user_id,
+                features=columns.features[4 * index : 4 * index + 4],
+                contexts=(CoarseContext.STATIONARY, CoarseContext.MOVING) * 2,
+                version=columns.version_for(index),
+            )
+            for index, user_id in enumerate(columns.user_ids)
+        ]
+        for index, reference in enumerate(frontend.submit_many(requests)):
+            if isinstance(reference, ErrorResponse):
+                assert responses[index] == reference
+
+
+class TestLockStripes:
+    """Users sharing a stripe never deadlock a frame or a concurrent write."""
+
+    def _sharing_pair(self):
+        from repro.service.frontend import lock_stripe
+
+        seen = {}
+        for index in range(10 * LOCK_STRIPES):
+            user_id = f"striped-{index}"
+            other = seen.setdefault(lock_stripe(user_id), user_id)
+            if other != user_id:
+                return other, user_id
+        raise AssertionError("no two ids share a stripe")
+
+    def _enroll_and_train(self, frontend, users):
+        for offset, user_id in enumerate(users):
+            for context in ("stationary", "moving"):
+                frontend.submit(
+                    EnrollRequest(
+                        user_id=user_id,
+                        matrix=matrix(user_id, 1.0 + offset, context=context, seed=80 + offset),
+                        train=False,
+                    )
+                )
+            frontend.gateway.train(user_id)
+
+    def _frame(self, users, seed):
+        from repro.core.scoring import encode_contexts
+        from repro.service.protocol import AuthenticateColumns
+
+        rng = np.random.default_rng(seed)
+        return AuthenticateColumns(
+            user_ids=tuple(users),
+            features=rng.normal(1.0, 1.0, size=(2 * len(users), 5)),
+            lengths=np.full(len(users), 2),
+            context_codes=encode_contexts(
+                (CoarseContext.STATIONARY, CoarseContext.MOVING) * len(users)
+            ),
+        )
+
+    def _run(self, *targets):
+        threads = [threading.Thread(target=target, daemon=True) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "deadlocked"
+
+    def test_one_frame_takes_a_shared_stripe_once(self, frontend):
+        first, second = self._sharing_pair()
+        self._enroll_and_train(frontend, (first, second))
+        results = []
+        self._run(
+            lambda: results.append(
+                frontend.submit_columns(self._frame((first, second, first), seed=90))
+            )
+        )
+        (result,) = results
+        assert not result.errors
+        assert result.lengths.tolist() == [2, 2, 2]
+        assert not any(lock.locked() for lock in frontend._stripes)
+
+    def test_frames_and_drift_on_a_shared_stripe_both_finish(self, frontend):
+        first, second = self._sharing_pair()
+        self._enroll_and_train(frontend, (first, second))
+        frames, drifts = [], []
+
+        def authenticate():
+            for seed in range(20):
+                frames.append(frontend.submit_columns(self._frame((first, first), seed)))
+
+        def drift():
+            for seed in range(5):
+                drifts.append(
+                    frontend.submit(
+                        DriftReport(
+                            user_id=second,
+                            matrix=matrix(second, 2.0, n=30, seed=100 + seed),
+                        )
+                    )
+                )
+
+        self._run(authenticate, drift)
+        assert len(frames) == 20 and all(not frame.errors for frame in frames)
+        assert [type(response) for response in drifts] == [DriftResponse] * 5
+        assert not any(lock.locked() for lock in frontend._stripes)
+
+    def test_concurrent_frames_and_publishes_answer_consistent_versions(self, frontend):
+        """More threads than cores, a short switch interval: every frame
+        answer is the exact scoring of the version it reports."""
+        import sys
+
+        users = [f"stress-{index}" for index in range(4)]
+        self._enroll_and_train(frontend, users)
+        answers = []
+
+        def authenticate(seed):
+            for step in range(15):
+                columns = self._frame(users, seed=1000 * seed + step)
+                answers.append((columns, frontend.submit_columns(columns)))
+
+        def drift(user_id):
+            for seed in range(3):
+                frontend.submit(
+                    DriftReport(user_id=user_id, matrix=matrix(user_id, 2.0, n=30, seed=seed))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._run(
+                lambda: authenticate(1),
+                lambda: authenticate(2),
+                lambda: authenticate(3),
+                lambda: drift(users[0]),
+                lambda: drift(users[2]),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == 45
+        for columns, result in answers:
+            assert not result.errors
+            for index, response in enumerate(result.responses()):
+                rows = slice(2 * index, 2 * index + 2)
+                expected = frontend.gateway.scorer_for(
+                    columns.user_ids[index], response.model_version
+                ).score(columns.features[rows], columns.context_codes[rows])
+                assert response.scores.tobytes() == expected.scores.tobytes()
+                assert response.accepted.tobytes() == expected.accepted.tobytes()

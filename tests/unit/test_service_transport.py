@@ -1334,3 +1334,30 @@ class TestTracing:
             assert "application/json" in response.headers.get("Content-Type", "")
             payload = json.loads(response.read().decode("utf-8"))
         assert set(payload) == {"counters", "latencies", "callers"}
+
+
+class TestClientDisconnects:
+    def test_client_gone_before_a_large_binary_answer_is_counted(
+        self, v2, hang_up, capfd
+    ):
+        from repro.service import wirebin
+
+        server, api_key = v2
+        body = wirebin.encode_request_frame(
+            _auth_requests(n_rows=20000), api_key=api_key
+        )
+        count = hang_up(
+            server,
+            "dispatch_frame",
+            "/v2/requests",
+            body,
+            wirebin.CONTENT_TYPE,
+            "transport.client_disconnects",
+        )
+        assert count == 1
+        assert server.telemetry.counter_value("transport.server_errors") == 0
+        assert "Traceback" not in capfd.readouterr().err
+        # The server keeps answering other clients.
+        with ServiceClient(port=server.port, api_key=api_key, codec="binary") as client:
+            (response,) = client.submit_many(_auth_requests()[:1])
+        assert isinstance(response, AuthenticationResponse)

@@ -101,6 +101,8 @@ class ServingTable:
     ----------
     generation, use_context:
         The registry generation and scoring mode the table was built for.
+    resolver:
+        The ``scorer_for`` function the table's rows were resolved through.
     row_by_user:
         Each served user's row in :attr:`models`.
     models:
@@ -109,6 +111,7 @@ class ServingTable:
 
     generation: int
     use_context: bool
+    resolver: object
     row_by_user: dict[str, int]
     models: ModelTable
 
@@ -181,14 +184,22 @@ class ServiceFrontend:
         build leaves the table tagged with the older generation and the
         next flush rebuilds.  Two flushes racing to build both produce a
         valid table; the last one stored wins.
+
+        The table memoizes ``gateway.scorer_for``, so it is also keyed by
+        that function: replacing it on the gateway or its class (a test
+        double, an instrumentation wrapper) rebuilds the table through the
+        replacement instead of serving what the old one resolved.
         """
         gateway = self.gateway
         generation = gateway.registry.generation
+        resolve = gateway.scorer_for
+        resolver = getattr(resolve, "__func__", resolve)
         table = self._table
         if (
             table is not None
             and table.generation == generation
             and table.use_context == gateway.use_context
+            and table.resolver is resolver
         ):
             return table
         use_context = gateway.use_context
@@ -196,7 +207,7 @@ class ServiceFrontend:
         scorers = []
         for user_id in gateway.registry.users():
             try:
-                scorer = gateway.scorer_for(user_id)
+                scorer = resolve(user_id)
             except Exception:
                 # Left out of the table: its requests resolve through
                 # scorer_for one by one, which answers the typed error.
@@ -206,6 +217,7 @@ class ServiceFrontend:
         table = ServingTable(
             generation=generation,
             use_context=use_context,
+            resolver=resolver,
             row_by_user={user_id: row for row, user_id in enumerate(users)},
             models=ModelTable.build(scorers),
         )

@@ -926,8 +926,12 @@ class TestServingTable:
 
     def test_warm_generation_makes_no_per_user_lookups(self, frontend, monkeypatch):
         self._trained(frontend)
-        frontend.submit_columns(self._columns(seed=71))  # builds the table
+        # Counted from the start: the table memoizes scorer_for, so one
+        # swapped in after the build would rebuild it.
         calls = self._count_lookups(frontend, monkeypatch)
+        frontend.submit_columns(self._columns(seed=71))  # builds the table
+        assert calls["scorer_for"] == len(frontend.gateway.registry.users())
+        calls.update(scorer_for=0, latest_version=0)
         frontend.submit_columns(self._columns(seed=72))
         assert calls == {"scorer_for": 0, "latest_version": 0}
         # A publish moves the generation: exactly one rebuild over the
@@ -938,6 +942,23 @@ class TestServingTable:
         before = dict(calls)
         frontend.submit_columns(self._columns(seed=74))
         assert calls == before
+
+    def test_replaced_scorer_for_rebuilds_the_table(self, frontend, monkeypatch):
+        self._trained(frontend)
+        frontend.submit_columns(self._columns(seed=78))  # builds the table
+        original = AuthenticationGateway.scorer_for
+
+        def without_bg1(gateway, user_id, version=None):
+            if user_id == "bg1":
+                raise KeyError(f"no model for {user_id!r}")
+            return original(gateway, user_id, version)
+
+        monkeypatch.setattr(AuthenticationGateway, "scorer_for", without_bg1)
+        responses = self._assert_served_like_scorer_for(frontend, self._columns(seed=79))
+        assert isinstance(responses[1], ErrorResponse)
+        monkeypatch.undo()
+        responses = self._assert_served_like_scorer_for(frontend, self._columns(seed=80))
+        assert isinstance(responses[1], AuthenticationResponse)
 
     def test_drift_report_serves_the_new_version(self, frontend):
         self._trained(frontend)

@@ -31,7 +31,7 @@ concrete model types live in :mod:`repro.devices.cloud`.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -573,25 +573,17 @@ class ModelTable:
     rules: tuple[LinearDecisionRule, ...]
 
     @classmethod
-    def build(
-        cls, scorers: Sequence[BatchScorer], width: int | None = None
-    ) -> "ModelTable":
+    def build(cls, scorers: Sequence[BatchScorer], width: int) -> "ModelTable":
         """A table with one row per scorer, in order.
 
-        Models whose affine rule has *width* columns are fused; with
-        ``width=None``, the width most rules share.  Every other model
-        (no rule, another width) becomes a fallback slot.
+        Models whose affine rule has *width* columns are fused.  Every
+        other model (no rule, another width) becomes a fallback slot.
         """
         distinct: dict[int, ScorableModel] = {}
         for scorer in scorers:
             for model in scorer.model_by_code():
                 distinct.setdefault(id(model), model)
         rule_of = {key: _decision_rule(model) for key, model in distinct.items()}
-        if width is None:
-            widths = Counter(
-                rule.coef.shape[-1] for rule in rule_of.values() if rule is not None
-            )
-            width = widths.most_common(1)[0][0] if widths else 0
         fused = {
             id(rule): key
             for key, rule in rule_of.items()

@@ -219,7 +219,11 @@ class ServiceFrontend:
             use_context=use_context,
             resolver=resolver,
             row_by_user={user_id: row for row, user_id in enumerate(users)},
-            models=ModelTable.build(scorers),
+            # Every served bundle was trained on the feature store's one
+            # schema, so any bundle's feature names give the fused width.
+            models=ModelTable.build(
+                scorers, width=len(scorers[0].bundle.feature_names) if scorers else 0
+            ),
         )
         self._table = table
         return table
